@@ -1,0 +1,42 @@
+//! The few JSON pieces the benchmark writes (the container carries no
+//! serde).
+
+/// A JSON string literal.
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A JSON number with every digit of `x` (shortest round-trip form);
+/// non-finite values, which JSON cannot carry, become `null`.
+pub fn number(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn escapes_and_numbers() {
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(number(0.1234567891), "0.1234567891");
+        assert_eq!(number(3.0), "3");
+        assert_eq!(number(f64::NAN), "null");
+    }
+}
