@@ -72,4 +72,7 @@ N=3000 REPS=1 cargo run --release -q -p holistic-bench --bin probe_batch_ext -- 
 # 1.25x budget, and that the auto-derived budget actually spills.
 N=60000 PARTS=6 BUDGET=0 REPS=1 cargo run --release -q -p holistic-bench --bin spill_ext -- --json
 
+echo "==> benchmark self-test (tiny sizes: perfbench builds and its correctness gate passes)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

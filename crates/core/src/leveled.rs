@@ -23,9 +23,18 @@
 //! * [`MstForest::count_below`] — counts sum across runs (each run clamps
 //!   the query ranges to its own position span and delegates to its tree's
 //!   block/cursor kernels);
-//! * [`MstForest::select`] — a cross-run rank search over the shared value
-//!   domain: bisect for the smallest value `v` whose cumulative
-//!   `count_leq(v)` across all runs exceeds the requested rank.
+//! * [`MstForest::bracket`] — the count below a threshold together with the
+//!   frame's nearest values on either side of it (predecessor and
+//!   successor), lifted from [`MergeSortTree::bracket`] at about the cost of
+//!   one count;
+//! * [`MstForest::select_from`] — a cross-run rank search seeded with a hint
+//!   (the previous row's answer): it steps from the hint to the frame's
+//!   predecessor or successor value, one bracket per step, until the rank
+//!   brackets the requested one. A frame that slides by one row moves the
+//!   answer about one rank, so one step usually does it. Without a hint, or
+//!   after a few steps, it falls back to bisecting the value domain for the
+//!   smallest `v` whose cumulative `count_leq(v)` across all runs exceeds
+//!   the requested rank.
 //!
 //! Values are order-preserving `u64` encodings (the window layer encodes
 //! `i64`/`f64` sort keys bijectively); `u64::MAX` is reserved so that
@@ -35,7 +44,7 @@
 //! does automatically.
 
 use crate::cursor::ProbeCursor;
-use crate::mst::MergeSortTree;
+use crate::mst::{Bracket, MergeSortTree};
 use crate::params::MstParams;
 use crate::range_set::RangeSet;
 
@@ -235,6 +244,32 @@ impl MstForest {
         self.count_below_with(ranges, t + 1, cur)
     }
 
+    /// [`MergeSortTree::bracket`] lifted across runs: how many values at
+    /// positions in `ranges` are below `t`, and the nearest values on either
+    /// side of `t`. A run the ranges cover whole answers from its value
+    /// bounds when `t` lies outside them.
+    pub fn bracket(&self, ranges: &RangeSet, t: u64) -> Bracket<u64> {
+        let mut out = Bracket::default();
+        for run in &self.runs {
+            let end = run.start + run.tree.len();
+            for (a, b) in ranges.iter() {
+                let (la, lb) = (a.max(run.start), b.min(end));
+                if la >= lb {
+                    continue;
+                }
+                let whole = la == run.start && lb == end;
+                out.merge(if whole && t <= run.min_val {
+                    Bracket { below: 0, pred: None, succ: Some(run.min_val) }
+                } else if whole && t > run.max_val {
+                    Bracket { below: lb - la, pred: Some(run.max_val), succ: None }
+                } else {
+                    run.tree.bracket(la - run.start, lb - run.start, t)
+                });
+            }
+        }
+        out
+    }
+
     /// The `j`-th smallest value (0-based) among the positions in `ranges`,
     /// or `None` when fewer than `j + 1` positions exist. Cross-run rank
     /// search: bisect the value domain for the smallest `v` with
@@ -245,8 +280,11 @@ impl MstForest {
     }
 
     /// [`Self::select`] seeded with a guess (typically the previous probe's
-    /// answer when frames slide by one row). A correct guess costs two
-    /// `count_below` probes; a miss still halves the bisection domain.
+    /// answer when frames slide by one row). From the hint it steps to the
+    /// frame's predecessor or successor value, one [`Self::bracket`] per
+    /// step, until the rank brackets `j`: a correct hint costs two brackets
+    /// and an answer one rank away three. After `SELECT_STEPS` steps it
+    /// falls back to bisecting what is left of the value domain.
     pub fn select_from(&self, ranges: &RangeSet, j: usize, hint: Option<u64>) -> Option<u64> {
         if j >= self.positions(ranges) {
             return None;
@@ -260,15 +298,32 @@ impl MstForest {
             lo = lo.min(run.min_val);
             hi = hi.max(run.max_val);
         }
-        if let Some(h) = hint.filter(|&h| lo <= h && h <= hi) {
-            let below = self.count_below(ranges, h);
-            if below > j {
-                // At least j + 1 values sit strictly below the hint.
-                hi = h - 1;
-            } else if self.count_below(ranges, h + 1) > j {
-                return Some(h);
-            } else {
-                lo = h + 1;
+        if let Some(h) = hint {
+            let mut at = self.bracket(ranges, h.clamp(lo, hi));
+            for _ in 0..SELECT_STEPS {
+                if at.below > j {
+                    // The answer is a frame value below the threshold, so
+                    // at most its predecessor `p`; exactly `p` unless
+                    // `j + 1` values lie below `p` too.
+                    let p = at.pred.expect("values lie below the threshold");
+                    let next = self.bracket(ranges, p);
+                    if next.below <= j {
+                        return Some(p);
+                    }
+                    hi = p - 1;
+                    at = next;
+                } else {
+                    // At most `j` values lie below the threshold, so the
+                    // answer is at least its successor `s`; exactly `s`
+                    // unless at most `j` values are ≤ `s`.
+                    let s = at.succ.expect("a value lies at or above the threshold");
+                    let next = self.bracket(ranges, s + 1);
+                    if next.below > j {
+                        return Some(s);
+                    }
+                    lo = s + 1;
+                    at = next;
+                }
             }
         }
         while lo < hi {
@@ -282,6 +337,11 @@ impl MstForest {
         Some(lo)
     }
 }
+
+/// Predecessor/successor steps [`MstForest::select_from`] takes from its
+/// hint before bisecting. A frame that slides by one row moves the answer
+/// about one rank, so one step usually suffices.
+const SELECT_STEPS: usize = 4;
 
 /// Per-run probe cursors for batched monotone probes over a forest. Resized
 /// (and reset) automatically whenever the run structure changed since the

@@ -68,7 +68,7 @@ pub use cursor::{CursorStats, ProbeCursor, SelectCursor};
 pub use index::TreeIndex;
 pub use leveled::{ForestCursor, MstForest};
 pub use mst::{
-    mst_arena_len, mst_spill_build_len, BlockScratch, BlockStats, MergeSortTree, MstShell,
+    mst_arena_len, mst_spill_build_len, BlockScratch, BlockStats, Bracket, MergeSortTree, MstShell,
 };
 pub use params::MstParams;
 pub use prev_idcs::{prev_idcs_by_key, prev_idcs_u64};

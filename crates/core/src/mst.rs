@@ -152,7 +152,10 @@ pub(crate) fn fill_one_level<I: TreeIndex, T: Keyed<I>>(
         RunChildren { children }
     };
 
-    if params.parallel && num_runs > 1 {
+    // Small levels merge serially: below the cutoff, starting scoped
+    // threads costs more than the merge itself. The tree is identical.
+    let parallel = params.parallel && n >= PARALLEL_LEVEL_MIN;
+    if parallel && num_runs > 1 {
         // Lower levels: one merge task per run (§5.2).
         out_parts.into_par_iter().zip(ptr_parts).enumerate().for_each(|(r, (out, snaps))| {
             merge_run(&make_children(r), f, k, out, snaps, false);
@@ -160,10 +163,14 @@ pub(crate) fn fill_one_level<I: TreeIndex, T: Keyed<I>>(
     } else {
         // Upper levels (single run): parallelize inside the merge.
         for (r, (out, snaps)) in out_parts.into_iter().zip(ptr_parts).enumerate() {
-            merge_run(&make_children(r), f, k, out, snaps, params.parallel);
+            merge_run(&make_children(r), f, k, out, snaps, parallel);
         }
     }
 }
+
+/// Levels with fewer elements than this merge serially even under
+/// `params.parallel` — the cutoff the window layer's parallel sorts use.
+const PARALLEL_LEVEL_MIN: usize = 4096;
 
 /// Total arena length (keys + pointer slabs, in elements) of a tree over `n`
 /// values — a pure function of the geometry, so budget governors can price a
@@ -228,6 +235,37 @@ pub struct MergeSortTree<I: TreeIndex> {
     /// without missing, then finish inside one warmed `≤ stride` window
     /// instead of chasing `log n` scattered lines.
     top_samples: Vec<I>,
+}
+
+/// Where a threshold `t` falls among the values of a position range: how
+/// many lie below it and its nearest neighbours on either side (see
+/// [`MergeSortTree::bracket`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bracket<I> {
+    /// How many values are `< t`.
+    pub below: usize,
+    /// The largest value `< t`.
+    pub pred: Option<I>,
+    /// The smallest value `≥ t`.
+    pub succ: Option<I>,
+}
+
+impl<I> Default for Bracket<I> {
+    fn default() -> Self {
+        Bracket { below: 0, pred: None, succ: None }
+    }
+}
+
+impl<I: Ord> Bracket<I> {
+    /// Folds in the bracket of `t` over further, disjoint positions.
+    pub(crate) fn merge(&mut self, other: Bracket<I>) {
+        self.below += other.below;
+        self.pred = self.pred.take().max(other.pred);
+        self.succ = match (self.succ.take(), other.succ) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, y) => x.or(y),
+        };
+    }
 }
 
 /// The metadata of a [`MergeSortTree`] without its arena slab: level table,
@@ -538,6 +576,52 @@ impl<I: TreeIndex> MergeSortTree<I> {
             self.decompose_below_cursor(a, b, t, ri, cur, |_, _, pos| total += pos);
         }
         total
+    }
+
+    /// The largest value below `t` at positions `[a, b)`, or `None` when
+    /// there is none. Costs about one [`Self::count_below`].
+    ///
+    /// ```
+    /// use holistic_core::{MergeSortTree, MstParams};
+    ///
+    /// let tree = MergeSortTree::<u32>::build(&[5, 1, 4, 2, 3], MstParams::new(2, 1));
+    /// assert_eq!(tree.predecessor(0, 5, 4), Some(3));
+    /// assert_eq!(tree.predecessor(2, 5, 2), None);
+    /// ```
+    pub fn predecessor(&self, a: usize, b: usize, t: I) -> Option<I> {
+        self.bracket(a, b, t).pred
+    }
+
+    /// The smallest value `≥ t` at positions `[a, b)`, or `None` when there
+    /// is none. Costs about one [`Self::count_below`].
+    ///
+    /// ```
+    /// use holistic_core::{MergeSortTree, MstParams};
+    ///
+    /// let tree = MergeSortTree::<u32>::build(&[5, 1, 4, 2, 3], MstParams::new(2, 1));
+    /// assert_eq!(tree.successor(0, 5, 4), Some(4));
+    /// assert_eq!(tree.successor(1, 4, 5), None);
+    /// ```
+    pub fn successor(&self, a: usize, b: usize, t: I) -> Option<I> {
+        self.bracket(a, b, t).succ
+    }
+
+    /// [`Self::count_below`], [`Self::predecessor`] and [`Self::successor`]
+    /// of `t` over `[a, b)` in one walk: every covering run's lower bound of
+    /// `t` sits right after that run's largest value below `t` and at its
+    /// smallest value `≥ t`.
+    pub fn bracket(&self, a: usize, b: usize, t: I) -> Bracket<I> {
+        let mut out = Bracket::default();
+        self.decompose_below(a, b, t, |level, rs, pos| {
+            let keys = self.keys(level);
+            let re = (rs + self.levels[level].run_len).min(self.n);
+            out.merge(Bracket {
+                below: pos,
+                pred: pos.checked_sub(1).map(|p| keys[rs + p]),
+                succ: (rs + pos < re).then(|| keys[rs + pos]),
+            });
+        });
+        out
     }
 
     /// Decomposes the position range `[a, b)` into covering runs, invoking
@@ -1870,6 +1954,41 @@ mod tests {
     }
 
     #[test]
+    fn predecessor_and_successor_match_brute_force() {
+        let mut rng = StdRng::seed_from_u64(0x9E1A);
+        let params = [
+            MstParams::new(2, 1),
+            MstParams::new(3, 2),
+            MstParams::new(4, 4),
+            MstParams::new(16, 8),
+            MstParams::new(32, 32),
+            MstParams::new(2, 1).no_cascading(),
+            MstParams::new(5, 3).no_cascading(),
+        ];
+        for p in params {
+            for n in [0usize, 1, 2, 7, 64, 300] {
+                // Sparse values with duplicates, so thresholds fall below,
+                // between, on and above them.
+                let vals: Vec<u32> = (0..n).map(|_| 3 * rng.gen_range(1..40u32)).collect();
+                let tree = MergeSortTree::<u32>::build(&vals, p.serial());
+                for _ in 0..200 {
+                    let a = rng.gen_range(0..=n);
+                    let b = rng.gen_range(a..=n + 2);
+                    let t = rng.gen_range(0..130u32);
+                    let frame = &vals[a..b.min(n)];
+                    let pred = frame.iter().copied().filter(|&v| v < t).max();
+                    let succ = frame.iter().copied().filter(|&v| v >= t).min();
+                    assert_eq!(tree.predecessor(a, b, t), pred, "{p:?} n={n} [{a},{b}) t={t}");
+                    assert_eq!(tree.successor(a, b, t), succ, "{p:?} n={n} [{a},{b}) t={t}");
+                    let br = tree.bracket(a, b, t);
+                    assert_eq!(br.below, brute_count_below(&vals, a, b, t));
+                    assert_eq!((br.pred, br.succ), (pred, succ));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn figure1_distinct_count() {
         // prevIdcs of Figure 1 in shifted encoding (0 = none).
         let prev: Vec<u32> = vec![0, 0, 2, 1, 0, 3, 5, 4];
@@ -2011,12 +2130,15 @@ mod tests {
     #[test]
     fn serial_equals_parallel_build() {
         let mut rng = StdRng::seed_from_u64(45);
-        let vals: Vec<u32> = (0..5000).map(|_| rng.gen_range(0..1000)).collect();
-        let tp = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 8));
-        let ts = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 8).serial());
-        for lvl in 0..tp.height() {
-            assert_eq!(tp.keys(lvl), ts.keys(lvl), "level {lvl} keys");
-            assert_eq!(tp.ptr_slab(lvl), ts.ptr_slab(lvl), "level {lvl} ptrs");
+        // Both sides of the serial-merge cutoff.
+        for n in [100, PARALLEL_LEVEL_MIN - 1, 5000] {
+            let vals: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+            let tp = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 8));
+            let ts = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 8).serial());
+            for lvl in 0..tp.height() {
+                assert_eq!(tp.keys(lvl), ts.keys(lvl), "n={n} level {lvl} keys");
+                assert_eq!(tp.ptr_slab(lvl), ts.ptr_slab(lvl), "n={n} level {lvl} ptrs");
+            }
         }
     }
 

@@ -1096,7 +1096,7 @@ fn probe_value(
             let j = ((p * s as f64).ceil() as usize).clamp(1, s);
             // Frames slide by one row between consecutive probes, so the
             // previous answer is almost always still (near) the percentile:
-            // seed the forest's rank bisection with it.
+            // seed the forest's rank search with it.
             let v = forest.select_from(pieces, j - 1, *hint).expect("rank within frame size");
             *hint = Some(v);
             decode_key(v, desc, ty)

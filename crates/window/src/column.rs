@@ -139,6 +139,58 @@ impl Column {
         Ok(())
     }
 
+    /// Appends every row of `src` in place — the bulk form of
+    /// [`Column::push`], accepting exactly what pushing each of `src`'s
+    /// values would: the same type, Int into Float (widened), or a column
+    /// without a single valid row. On error `self` is unchanged. Validity
+    /// stays empty until the first NULL arrives, as with `push`, and NULL
+    /// slots hold the type's default.
+    pub fn extend_from(&mut self, src: &Column) -> Result<()> {
+        self.check_extend(src)?;
+        match (self, src) {
+            (Column::Int(d, v), Column::Int(s, sv)) => grow(d, v, s.iter().copied(), sv, 0),
+            (Column::Float(d, v), Column::Float(s, sv)) => grow(d, v, s.iter().copied(), sv, 0.0),
+            (Column::Float(d, v), Column::Int(s, sv)) => {
+                grow(d, v, s.iter().map(|&x| x as f64), sv, 0.0)
+            }
+            (Column::Str(d, v), Column::Str(s, sv)) => {
+                grow(d, v, s.iter().cloned(), sv, Arc::from(""))
+            }
+            (Column::Date(d, v), Column::Date(s, sv)) => grow(d, v, s.iter().copied(), sv, 0),
+            (Column::Bool(d, v), Column::Bool(s, sv)) => grow(d, v, s.iter().copied(), sv, false),
+            // `check_extend` admitted a mismatched type only for a column
+            // holding no valid row.
+            (Column::Int(d, v), src) => pad_nulls(d, v, src.len(), 0),
+            (Column::Float(d, v), src) => pad_nulls(d, v, src.len(), 0.0),
+            (Column::Str(d, v), src) => pad_nulls(d, v, src.len(), Arc::from("")),
+            (Column::Date(d, v), src) => pad_nulls(d, v, src.len(), 0),
+            (Column::Bool(d, v), src) => pad_nulls(d, v, src.len(), false),
+        }
+        Ok(())
+    }
+
+    /// The type check of [`Column::extend_from`], without mutating anything:
+    /// the error is the one `push` would raise on `src`'s first offending
+    /// value.
+    pub(crate) fn check_extend(&self, src: &Column) -> Result<()> {
+        use Column::*;
+        match (self, src) {
+            (Int(..), Int(..))
+            | (Float(..), Float(..) | Int(..))
+            | (Str(..), Str(..))
+            | (Date(..), Date(..))
+            | (Bool(..), Bool(..)) => Ok(()),
+            _ => match (0..src.len()).find(|&i| src.is_valid(i)) {
+                None => Ok(()),
+                Some(i) => Err(Error::TypeMismatch {
+                    expected: "column element",
+                    got: src.get(i).type_name(),
+                    context: "Column::push",
+                }),
+            },
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
@@ -166,15 +218,21 @@ impl Column {
         }
     }
 
-    /// True when row `i` is valid (non-NULL).
+    /// The NULL mask (empty when the column has no NULL).
     #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
-        let v = match self {
+    pub(crate) fn validity(&self) -> &Validity {
+        match self {
             Column::Int(_, v) | Column::Date(_, v) => v,
             Column::Float(_, v) => v,
             Column::Str(_, v) => v,
             Column::Bool(_, v) => v,
-        };
+        }
+    }
+
+    /// True when row `i` is valid (non-NULL).
+    #[inline]
+    pub fn is_valid(&self, i: usize) -> bool {
+        let v = self.validity();
         v.is_empty() || v[i]
     }
 
@@ -224,6 +282,47 @@ impl Column {
             Column::Bool(d, v) => Column::Bool(d[a..b].to_vec(), vslice(v, a, b)),
         }
     }
+}
+
+/// Appends `items` (whose validity is `src_valid`, empty meaning all valid)
+/// to `data`/`valid`, keeping `valid` empty until the first NULL and writing
+/// `default` into NULL slots — what pushing the items one by one does.
+fn grow<T: Clone>(
+    data: &mut Vec<T>,
+    valid: &mut Validity,
+    items: impl Iterator<Item = T>,
+    src_valid: &[bool],
+    default: T,
+) {
+    let old = data.len();
+    data.extend(items);
+    if !src_valid.contains(&false) {
+        if !valid.is_empty() {
+            valid.resize(data.len(), true);
+        }
+        return;
+    }
+    if valid.is_empty() {
+        valid.resize(old, true);
+    }
+    valid.extend_from_slice(src_valid);
+    for (d, &ok) in data[old..].iter_mut().zip(src_valid) {
+        if !ok {
+            *d = default.clone();
+        }
+    }
+}
+
+/// Appends `n` NULLs (slots holding `default`) to `data`/`valid`.
+fn pad_nulls<T: Clone>(data: &mut Vec<T>, valid: &mut Validity, n: usize, default: T) {
+    if n == 0 {
+        return;
+    }
+    if valid.is_empty() {
+        valid.resize(data.len(), true);
+    }
+    valid.resize(data.len() + n, false);
+    data.resize(data.len() + n, default);
 }
 
 #[cfg(test)]
