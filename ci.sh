@@ -42,6 +42,10 @@ echo "==> fuzz smoke (differential: naive vs adaptive/forced configs, fixed seed
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
+echo "==> fuzz smoke (large n: partitions beyond the 4096-row parallel sort cutoff)"
+cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+  --cases 12 --seed 0xC0FFEE --max-n 9000 --time-budget-secs 120
+
 echo "==> fuzz smoke (append delta API: bit-identity vs from-scratch, fixed seed)"
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120

@@ -3,14 +3,16 @@
 //!
 //! Every function is derived directly from its SQL definition with plain
 //! scans over the frame, sharing no evaluation code with the merge sort tree
-//! engine (only the partition/sort/frame plumbing, which both sides need to
-//! agree on by construction).
+//! engine (only the partition and frame plumbing, which both sides need to
+//! agree on by construction). Sorting and peer tests use the oracle's own
+//! comparator over plain values (`OracleKeys`), not the engine's encoded
+//! key columns.
 
 use holistic_window::error::Result;
 use holistic_window::expr::BoundExpr;
 use holistic_window::frame::{resolve_frames, ResolvedFrames};
 use holistic_window::hash::hash_value;
-use holistic_window::order::{sort_permutation, KeyColumns};
+use holistic_window::order::{KeyColumns, SortKey};
 use holistic_window::partition::partition_rows;
 use holistic_window::spec::{FuncKind, FunctionCall, WindowSpec};
 use holistic_window::{Column, Error, Table, Value, WindowQuery};
@@ -25,14 +27,17 @@ pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
         call.validate()?;
     }
     let partitions = partition_rows(table, &query.spec.partition_by)?;
-    let window_keys = KeyColumns::evaluate(table, &query.spec.order_by)?;
+    // Frame resolution (peer groups, RANGE offsets) stays shared plumbing;
+    // the sort itself is the oracle's.
+    let frame_keys = KeyColumns::evaluate(table, &query.spec.order_by)?;
+    let window_keys = OracleKeys::evaluate(table, &query.spec.order_by)?;
 
     let mut out_values: Vec<Vec<Value>> =
         query.calls.iter().map(|_| vec![Value::Null; n]).collect();
     for part in &partitions {
         let mut rows = part.clone();
-        sort_permutation(&window_keys, &mut rows, false);
-        let frames = resolve_frames(table, &rows, &window_keys, &query.spec.frame)?;
+        rows.sort_by(|&a, &b| window_keys.cmp(a, b).then(a.cmp(&b)));
+        let frames = resolve_frames(table, &rows, &frame_keys, &query.spec.frame)?;
         for (ci, call) in query.calls.iter().enumerate() {
             let vals = eval_call(table, &rows, &frames, &window_keys, call)?;
             for (pos, &row) in rows.iter().enumerate() {
@@ -56,6 +61,45 @@ pub fn execute_spec(table: &Table, spec: WindowSpec, calls: Vec<FunctionCall>) -
     execute(&q, table)
 }
 
+/// ORDER BY keys as plain values, compared straight from the SQL definition:
+/// NULL placement first, then [`Value::sql_cmp`], reversed under DESC.
+struct OracleKeys {
+    cols: Vec<(Vec<Value>, bool, bool)>, // (values per row, desc, nulls_first)
+}
+
+impl OracleKeys {
+    fn evaluate(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
+        let mut cols = Vec::with_capacity(sort_keys.len());
+        for sk in sort_keys {
+            let bound = sk.expr.bind(table)?;
+            let vals =
+                (0..table.num_rows()).map(|r| bound.eval(table, r)).collect::<Result<_>>()?;
+            cols.push((vals, sk.desc, sk.nulls_first));
+        }
+        Ok(OracleKeys { cols })
+    }
+
+    /// Compares table rows `a` and `b` under every criterion.
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        for (vals, desc, nulls_first) in &self.cols {
+            let (va, vb) = (&vals[a], &vals[b]);
+            let ord = match (va.is_null(), vb.is_null()) {
+                (true, true) => Ordering::Equal,
+                (true, false) if *nulls_first => Ordering::Less,
+                (true, false) => Ordering::Greater,
+                (false, true) if *nulls_first => Ordering::Greater,
+                (false, true) => Ordering::Less,
+                (false, false) if *desc => vb.sql_cmp(va),
+                (false, false) => va.sql_cmp(vb),
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+}
+
 struct NaiveCtx<'a> {
     table: &'a Table,
     rows: &'a [usize],
@@ -65,7 +109,7 @@ struct NaiveCtx<'a> {
     /// First-argument value per position (empty if no args).
     arg0: Vec<Value>,
     /// Inner-order key columns (falls back to the window keys).
-    keys: &'a KeyColumns,
+    keys: &'a OracleKeys,
     /// First inner key value per position (percentile output).
     key0: Vec<Value>,
     has_inner_order: bool,
@@ -83,12 +127,12 @@ impl NaiveCtx<'_> {
 
     /// Compares two positions by the inner keys, ties by position.
     fn cmp_inner(&self, a: usize, b: usize) -> Ordering {
-        self.keys.cmp_rows(self.rows[a], self.rows[b]).then(a.cmp(&b))
+        self.key_cmp(a, b).then(a.cmp(&b))
     }
 
     /// Compares by keys only (peer test).
     fn key_cmp(&self, a: usize, b: usize) -> Ordering {
-        self.keys.cmp_rows(self.rows[a], self.rows[b])
+        self.keys.cmp(self.rows[a], self.rows[b])
     }
 }
 
@@ -96,7 +140,7 @@ fn eval_call(
     table: &Table,
     rows: &[usize],
     frames: &ResolvedFrames,
-    window_keys: &KeyColumns,
+    window_keys: &OracleKeys,
     call: &FunctionCall,
 ) -> Result<Vec<Value>> {
     let m = rows.len();
@@ -120,10 +164,10 @@ fn eval_call(
     // Rank functions with no inner order fall back to the window ORDER BY as
     // their ranking criterion, matching the engine.
     let inner_keys_owned;
-    let keys: &KeyColumns = if call.inner_order.is_empty() {
+    let keys: &OracleKeys = if call.inner_order.is_empty() {
         window_keys
     } else {
-        inner_keys_owned = KeyColumns::evaluate(table, &call.inner_order)?;
+        inner_keys_owned = OracleKeys::evaluate(table, &call.inner_order)?;
         &inner_keys_owned
     };
     let ctx = NaiveCtx {
@@ -354,7 +398,9 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
                         context: "naive percentile_cont",
                     })?,
                 );
-                Ok(Value::Float(x + (y - x) * (rn - lo as f64)))
+                // An exact rank hit is the key itself: the interpolation
+                // would turn an infinite key into NaN (`inf - inf`).
+                Ok(Value::Float(if lo == hi { x } else { x + (y - x) * (rn - lo as f64) }))
             } else {
                 let j = ((p * s as f64).ceil() as usize).clamp(1, s);
                 Ok(ctx.key0[kept[j - 1]].clone())

@@ -38,36 +38,53 @@ pub struct DenseCodes {
 }
 
 /// Sorts rows by `keys` (ties by row index) and numbers them densely.
-pub fn dense_codes<K: Ord + Send + Sync>(keys: &[K], parallel: bool) -> DenseCodes {
-    let n = keys.len();
-    let mut perm: Vec<usize> = (0..n).collect();
-    if parallel && n >= 4096 {
-        perm.par_sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+///
+/// Sorts `(key, row)` pairs rather than an index permutation through a
+/// comparator, so each comparison reads two adjacent words instead of two
+/// random key slots.
+pub fn dense_codes<K: Ord + Copy + Send + Sync>(keys: &[K], parallel: bool) -> DenseCodes {
+    let mut pairs: Vec<(K, usize)> = keys.iter().copied().zip(0..).collect();
+    if parallel && pairs.len() >= 4096 {
+        pairs.par_sort_unstable();
     } else {
-        perm.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+        pairs.sort_unstable();
     }
-    let mut code = vec![0usize; n];
-    let mut group_min = vec![0usize; n];
-    let mut group_end = vec![0usize; n];
-    let mut group_id = vec![0usize; n];
-    let mut num_groups = 0usize;
-    let mut r = 0;
-    while r < n {
-        // Tie group [r, e).
-        let mut e = r + 1;
-        while e < n && keys[perm[e]] == keys[perm[r]] {
-            e += 1;
+    let perm = pairs.iter().map(|&(_, row)| row).collect();
+    DenseCodes::from_sorted(perm, |_, a, b| pairs[a].0 == pairs[b].0)
+}
+
+impl DenseCodes {
+    /// Numbers rows densely from their sort order: `perm[r]` is the row at
+    /// sort position `r`, and `tied(perm, a, b)` says whether sort positions
+    /// `a < b` are peers (`a` is always the first position of its group).
+    pub fn from_sorted(
+        perm: Vec<usize>,
+        tied: impl Fn(&[usize], usize, usize) -> bool,
+    ) -> DenseCodes {
+        let n = perm.len();
+        let mut code = vec![0usize; n];
+        let mut group_min = vec![0usize; n];
+        let mut group_end = vec![0usize; n];
+        let mut group_id = vec![0usize; n];
+        let mut num_groups = 0usize;
+        let mut r = 0;
+        while r < n {
+            // Tie group [r, e).
+            let mut e = r + 1;
+            while e < n && tied(&perm, r, e) {
+                e += 1;
+            }
+            for (rank, &row) in perm[r..e].iter().enumerate() {
+                code[row] = r + rank;
+                group_min[row] = r;
+                group_end[row] = e;
+                group_id[row] = num_groups;
+            }
+            num_groups += 1;
+            r = e;
         }
-        for (rank, &row) in perm[r..e].iter().enumerate() {
-            code[row] = r + rank;
-            group_min[row] = r;
-            group_end[row] = e;
-            group_id[row] = num_groups;
-        }
-        num_groups += 1;
-        r = e;
+        DenseCodes { code, group_min, group_end, group_id, perm, num_groups }
     }
-    DenseCodes { code, group_min, group_end, group_id, perm, num_groups }
 }
 
 #[cfg(test)]

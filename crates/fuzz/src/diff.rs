@@ -39,11 +39,14 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Float-tolerant value comparison (engine vs. naive).
+/// Float-tolerant value comparison (engine vs. naive). Equal floats are
+/// close even where their difference is NaN (equal infinities).
 pub fn values_close(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => {
-            (x.is_nan() && y.is_nan()) || (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()))
+            x == y
+                || (x.is_nan() && y.is_nan())
+                || (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()))
         }
         (Value::Float(x), Value::Int(y)) | (Value::Int(y), Value::Float(x)) => {
             (*x - *y as f64).abs() <= 1e-9

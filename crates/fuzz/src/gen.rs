@@ -57,12 +57,19 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
     let mut query = WindowQuery::over(spec);
     let num_calls = rng.gen_range(1..=cfg.max_calls.max(1));
     for i in 0..num_calls {
-        let mut call = gen_call(&mut rng);
+        let mut call = gen_call(&mut rng, &table);
         call.output_name = format!("c{i}_{}", call.kind.name().replace(['(', ')', '*'], ""));
         query = query.call(call);
     }
     FuzzCase { seed, table, query }
 }
+
+/// Float values at the edges of the sort-key encoding's sign handling:
+/// signed zeros, infinities and magnitudes near `f64::MAX`, next to a few
+/// ordinary values so ties and neighbours mix. NaN is left to the order
+/// proptest, since its arithmetic has no answer to check against.
+const FLOAT_EDGES: [f64; 10] =
+    [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, -f64::MAX, 1e307, -1e307, 1.5, -1.5];
 
 /// A random table over the fixed column profile the spec generator targets:
 /// `g` (strings, partition/tie column), `k` (nullable ints, the window order
@@ -74,6 +81,7 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
     let null_p = [0.0, 0.1, 0.45][rng.gen_range(0usize..3)];
     let key_profile = rng.gen_range(0u32..6);
     let tie_heavy = rng.gen_bool(0.4);
+    let float_edges = rng.gen_bool(0.2);
     let alphabet = rng.gen_range(1usize..=4);
     let groups = ["x", "y", "z", "w"];
 
@@ -109,6 +117,8 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
         .map(|_| {
             if rng.gen_bool(null_p) {
                 None
+            } else if float_edges {
+                Some(FLOAT_EDGES[rng.gen_range(0..FLOAT_EDGES.len())])
             } else if tie_heavy {
                 // Half-integer grid: float ties are otherwise vanishingly rare.
                 Some(rng.gen_range(-4i64..4) as f64 * 0.5)
@@ -277,10 +287,31 @@ fn maybe_filter(rng: &mut StdRng, call: FunctionCall) -> FunctionCall {
     call.filter(pred)
 }
 
-/// One random call drawn across all six evaluator families (distributive
-/// aggregates, DISTINCT aggregates, rank, selection, LEAD/LAG, MODE).
-pub fn gen_call(rng: &mut StdRng) -> FunctionCall {
+/// True when `table`'s `f` column holds the float-edge profile (an infinity
+/// or a magnitude of at least 1e300).
+fn has_float_edges(table: &Table) -> bool {
+    table
+        .column("f")
+        .is_ok_and(|c| c.to_values().iter().any(|v| v.as_f64().is_some_and(|x| x.abs() >= 1e300)))
+}
+
+/// One random call over `table` drawn across all six evaluator families
+/// (distributive aggregates, DISTINCT aggregates, rank, selection, LEAD/LAG,
+/// MODE).
+///
+/// SUM and AVG take `v` instead of `f` when `f` holds float edges: the
+/// engine's float sums combine partial sums in tree and prefix-difference
+/// order, which overflows and cancels differently from the oracle's
+/// left-to-right sum at those magnitudes.
+pub fn gen_call(rng: &mut StdRng, table: &Table) -> FunctionCall {
     let days = || col("d").sub(lit(Value::Date(0)));
+    let summable = |pick_f: bool| {
+        if pick_f && !has_float_edges(table) {
+            col("f")
+        } else {
+            col("v")
+        }
+    };
     let call = match rng.gen_range(0u32..21) {
         0 => FunctionCall::count_star(),
         1 => FunctionCall::count([col("v"), col("f"), col("g")][rng.gen_range(0usize..3)].clone()),
@@ -288,7 +319,7 @@ pub fn gen_call(rng: &mut StdRng) -> FunctionCall {
             [col("v"), col("g"), col("d")][rng.gen_range(0usize..3)].clone(),
         ),
         3 => {
-            let c = FunctionCall::sum(if rng.gen_bool(0.5) { col("v") } else { col("f") });
+            let c = FunctionCall::sum(summable(!rng.gen_bool(0.5)));
             if rng.gen_bool(0.35) {
                 c.distinct()
             } else {
@@ -296,7 +327,7 @@ pub fn gen_call(rng: &mut StdRng) -> FunctionCall {
             }
         }
         4 => {
-            let c = FunctionCall::avg(if rng.gen_bool(0.5) { col("v") } else { col("f") });
+            let c = FunctionCall::avg(summable(!rng.gen_bool(0.5)));
             if rng.gen_bool(0.35) {
                 c.distinct()
             } else {

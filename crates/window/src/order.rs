@@ -4,12 +4,33 @@
 //! The merge sort tree only stores integers; this module is the boundary
 //! where SQL ordering intricacies (multiple criteria, DESC, NULLS FIRST/LAST)
 //! are folded into integer codes, exactly as §5.1 prescribes.
+//!
+//! The folding starts when [`KeyColumns`] are built: each criterion is
+//! stored as one order-preserving `u64` per row, so every sort, peer test and
+//! binary search downstream compares plain integers.
+//!
+//! | Value          | Ascending code                                   |
+//! |----------------|--------------------------------------------------|
+//! | `Int(x)`       | `(x as u64) ^ (1 << 63)`                          |
+//! | `Date(d)`      | the same on `d as i64`                            |
+//! | `Bool(b)`      | the same on `b as i64`                            |
+//! | `Float(f)`     | total-order bits: all bits flipped if the sign is set, else the sign bit set (≡ `f64::total_cmp`) |
+//!
+//! DESC takes the bitwise NOT of the ascending code. NULL takes `0` under
+//! NULLS FIRST and `u64::MAX` under NULLS LAST — only while no non-null value
+//! of the column encodes to that sentinel. The encoding is a bijection per
+//! type, so [`KeyColumns::single_key`] decodes values exactly.
+//!
+//! A criterion whose values cannot be encoded — strings, mixed types (an Int
+//! column widened to Float by an append), or a non-null value colliding with
+//! the NULL sentinel — stays a `Vec<Value>` compared by [`Value::sql_cmp`].
+//! Each criterion has exactly one of the two representations.
 
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::table::Table;
 use crate::value::Value;
-use holistic_core::codes::DenseCodes;
+use holistic_core::codes::{dense_codes, DenseCodes};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 
@@ -42,88 +63,266 @@ impl SortKey {
     }
 }
 
-/// Materialized sort key values for a set of rows, with comparison flags.
+const SIGN: u64 = 1 << 63;
+
+/// Ascending order-preserving code of a signed integer.
+pub(crate) fn encode_i64(x: i64) -> u64 {
+    (x as u64) ^ SIGN
+}
+
+/// Inverts [`encode_i64`].
+pub(crate) fn decode_i64(code: u64) -> i64 {
+    (code ^ SIGN) as i64
+}
+
+/// Ascending order-preserving code of a float under `f64::total_cmp`
+/// (`-0.0` below `+0.0`, NaNs ordered by their bits).
+pub(crate) fn encode_f64(f: f64) -> u64 {
+    let b = f.to_bits();
+    if b & SIGN != 0 {
+        !b
+    } else {
+        b | SIGN
+    }
+}
+
+/// Inverts [`encode_f64`] bit-exactly.
+pub(crate) fn decode_f64(code: u64) -> f64 {
+    f64::from_bits(if code & SIGN != 0 { code & !SIGN } else { !code })
+}
+
+/// The value type behind an encoded criterion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyKind {
+    Int,
+    Float,
+    Date,
+    Bool,
+}
+
+/// Ascending code and type of a non-null encodable value.
+fn encode(v: &Value) -> Option<(u64, KeyKind)> {
+    Some(match v {
+        Value::Int(x) => (encode_i64(*x), KeyKind::Int),
+        Value::Float(f) => (encode_f64(*f), KeyKind::Float),
+        Value::Date(d) => (encode_i64(i64::from(*d)), KeyKind::Date),
+        Value::Bool(b) => (encode_i64(i64::from(*b)), KeyKind::Bool),
+        Value::Null | Value::Str(_) => return None,
+    })
+}
+
+/// Inverts [`encode`].
+fn decode(code: u64, kind: KeyKind) -> Value {
+    match kind {
+        KeyKind::Int => Value::Int(decode_i64(code)),
+        KeyKind::Float => Value::Float(decode_f64(code)),
+        KeyKind::Date => Value::Date(decode_i64(code) as i32),
+        KeyKind::Bool => Value::Bool(decode_i64(code) != 0),
+    }
+}
+
+/// One criterion's materialized keys, in exactly one representation.
+#[derive(Clone)]
+enum KeyData {
+    /// Order-preserving codes with DESC and NULL placement folded in.
+    Encoded {
+        codes: Vec<u64>,
+        /// Type of the non-null values (`None` while every row is NULL).
+        kind: Option<KeyKind>,
+        /// Some row is NULL (its code is the sentinel).
+        has_null: bool,
+        /// Some non-null value encodes to the NULL sentinel.
+        sentinel_taken: bool,
+    },
+    /// The fallback: values under [`Value::sql_cmp`].
+    Values(Vec<Value>),
+}
+
+#[derive(Clone)]
+struct Criterion {
+    desc: bool,
+    nulls_first: bool,
+    data: KeyData,
+}
+
+impl Criterion {
+    fn new(sk: &SortKey, rows: usize) -> Self {
+        let data = KeyData::Encoded {
+            codes: Vec::with_capacity(rows),
+            kind: None,
+            has_null: false,
+            sentinel_taken: false,
+        };
+        Criterion { desc: sk.desc, nulls_first: sk.nulls_first, data }
+    }
+
+    fn null_code(&self) -> u64 {
+        if self.nulls_first {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Appends one row's key, converting to the fallback the first time a
+    /// value cannot be encoded.
+    fn push(&mut self, v: Value) {
+        let sentinel = self.null_code();
+        let desc = self.desc;
+        if let KeyData::Encoded { codes, kind, has_null, sentinel_taken } = &mut self.data {
+            if v.is_null() {
+                if !*sentinel_taken {
+                    *has_null = true;
+                    codes.push(sentinel);
+                    return;
+                }
+            } else if let Some((asc, k)) = encode(&v) {
+                let code = if desc { !asc } else { asc };
+                if *kind.get_or_insert(k) == k && !(code == sentinel && *has_null) {
+                    *sentinel_taken |= code == sentinel;
+                    codes.push(code);
+                    return;
+                }
+            }
+            self.data = KeyData::Values(self.decoded());
+        }
+        let KeyData::Values(vals) = &mut self.data else { unreachable!("converted above") };
+        vals.push(v);
+    }
+
+    /// The key of row `i` as a value.
+    fn value(&self, i: usize) -> Value {
+        match &self.data {
+            KeyData::Values(vals) => vals[i].clone(),
+            KeyData::Encoded { codes, kind, has_null, .. } => {
+                let code = codes[i];
+                match kind {
+                    Some(k) if !(*has_null && code == self.null_code()) => {
+                        decode(if self.desc { !code } else { code }, *k)
+                    }
+                    _ => Value::Null,
+                }
+            }
+        }
+    }
+
+    /// Every row's key as a value (the conversion to the fallback).
+    fn decoded(&self) -> Vec<Value> {
+        (0..self.len()).map(|i| self.value(i)).collect()
+    }
+
+    fn len(&self) -> usize {
+        match &self.data {
+            KeyData::Encoded { codes, .. } => codes.len(),
+            KeyData::Values(vals) => vals.len(),
+        }
+    }
+
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        match &self.data {
+            KeyData::Encoded { codes, .. } => codes[a].cmp(&codes[b]),
+            KeyData::Values(vals) => {
+                let (va, vb) = (&vals[a], &vals[b]);
+                match (va.is_null(), vb.is_null()) {
+                    (true, true) => Ordering::Equal,
+                    (true, false) => {
+                        if self.nulls_first {
+                            Ordering::Less
+                        } else {
+                            Ordering::Greater
+                        }
+                    }
+                    (false, true) => {
+                        if self.nulls_first {
+                            Ordering::Greater
+                        } else {
+                            Ordering::Less
+                        }
+                    }
+                    (false, false) => {
+                        let o = va.sql_cmp(vb);
+                        if self.desc {
+                            o.reverse()
+                        } else {
+                            o
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match &self.data {
+            KeyData::Encoded { codes, .. } => codes.len() * std::mem::size_of::<u64>(),
+            KeyData::Values(vals) => {
+                vals.len() * std::mem::size_of::<Value>()
+                    + vals.iter().map(Value::heap_bytes).sum::<usize>()
+            }
+        }
+    }
+}
+
+/// Materialized sort keys for a set of rows, with comparison flags.
 #[derive(Clone)]
 pub struct KeyColumns {
-    keys: Vec<(Vec<Value>, bool, bool)>, // (values per row, desc, nulls_first)
+    keys: Vec<Criterion>,
 }
 
 impl KeyColumns {
     /// Evaluates `sort_keys` for every row of `table`.
     pub fn evaluate(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
+        let n = table.num_rows();
         let mut keys = Vec::with_capacity(sort_keys.len());
         for sk in sort_keys {
             let bound = sk.expr.bind(table)?;
-            keys.push((bound.eval_all(table)?, sk.desc, sk.nulls_first));
+            let mut c = Criterion::new(sk, n);
+            for r in 0..n {
+                c.push(bound.eval(table, r)?);
+            }
+            keys.push(c);
         }
         Ok(KeyColumns { keys })
     }
 
     /// Extends already-materialized key columns with rows `from_row..` of a
-    /// grown table — the O(b) append path: only the new rows are evaluated.
-    /// `sort_keys` must be the criteria this instance was built from.
+    /// grown table — the O(b) append path: only the new rows are evaluated
+    /// and encoded. `sort_keys` must be the criteria this instance was built
+    /// from.
     pub fn extend(&mut self, table: &Table, sort_keys: &[SortKey], from_row: usize) -> Result<()> {
         debug_assert_eq!(self.keys.len(), sort_keys.len());
         let n = table.num_rows();
-        for (sk, (vals, _, _)) in sort_keys.iter().zip(self.keys.iter_mut()) {
+        for (sk, c) in sort_keys.iter().zip(self.keys.iter_mut()) {
             let bound = sk.expr.bind(table)?;
-            vals.reserve(n - from_row);
+            if let KeyData::Encoded { codes, .. } = &mut c.data {
+                codes.reserve(n - from_row);
+            }
             for r in from_row..n {
-                vals.push(bound.eval(table, r)?);
+                c.push(bound.eval(table, r)?);
             }
         }
         Ok(())
     }
 
-    /// Number of criteria.
+    /// True when there are no criteria (every row is a peer of every other).
     pub fn is_trivial(&self) -> bool {
         self.keys.is_empty()
     }
 
-    /// Footprint in bytes of the materialized key columns: the `Value`
-    /// spines plus the string heap behind `Arc<str>` keys, counted once per
-    /// owned reference (see [`Value::heap_bytes`]). The per-ref count is a
-    /// deliberate upper bound — it prices what keeping these columns alive
-    /// keeps alive, which is what a memory budget must charge for.
+    /// Footprint in bytes of the materialized keys: 8 bytes per row for an
+    /// encoded criterion; for a fallback one the `Value` spines plus the
+    /// string heap behind `Arc<str>` keys, counted once per owned reference
+    /// (see [`Value::heap_bytes`]). The per-ref count is a deliberate upper
+    /// bound — it prices what keeping these columns alive keeps alive, which
+    /// is what a memory budget must charge for.
     pub fn bytes(&self) -> usize {
-        self.keys
-            .iter()
-            .map(|(vals, _, _)| {
-                vals.len() * std::mem::size_of::<Value>()
-                    + vals.iter().map(Value::heap_bytes).sum::<usize>()
-            })
-            .sum()
+        self.keys.iter().map(Criterion::bytes).sum()
     }
 
     /// Compares two rows under the full criteria list.
     pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        for (vals, desc, nulls_first) in &self.keys {
-            let (va, vb) = (&vals[a], &vals[b]);
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => Ordering::Equal,
-                (true, false) => {
-                    if *nulls_first {
-                        Ordering::Less
-                    } else {
-                        Ordering::Greater
-                    }
-                }
-                (false, true) => {
-                    if *nulls_first {
-                        Ordering::Greater
-                    } else {
-                        Ordering::Less
-                    }
-                }
-                (false, false) => {
-                    let o = va.sql_cmp(vb);
-                    if *desc {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                }
-            };
+        for c in &self.keys {
+            let ord = c.cmp(a, b);
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -137,13 +336,31 @@ impl KeyColumns {
     }
 
     /// The key value of the single criterion for row `i` (used by RANGE
-    /// frames, which SQL restricts to exactly one numeric key).
-    pub fn single_key(&self, i: usize) -> Option<(&Value, bool)> {
-        if self.keys.len() == 1 {
-            Some((&self.keys[0].0[i], self.keys[0].1))
-        } else {
-            None
+    /// frames, which SQL restricts to exactly one numeric key), with its
+    /// DESC flag.
+    pub fn single_key(&self, i: usize) -> Option<(Value, bool)> {
+        match self.keys.as_slice() {
+            [c] => Some((c.value(i), c.desc)),
+            _ => None,
         }
+    }
+
+    /// The codes of the only criterion, when there is exactly one and it is
+    /// encoded: the whole order is then one integer per row.
+    fn single_codes(&self) -> Option<&[u64]> {
+        match self.keys.as_slice() {
+            [Criterion { data: KeyData::Encoded { codes, .. }, .. }] => Some(codes),
+            _ => None,
+        }
+    }
+}
+
+/// Sorts `(key, index)` pairs; the unique index makes the order total.
+fn sort_pairs(pairs: &mut [(u64, usize)], parallel: bool) {
+    if parallel && pairs.len() >= 4096 {
+        pairs.par_sort_unstable();
+    } else {
+        pairs.sort_unstable();
     }
 }
 
@@ -151,6 +368,14 @@ impl KeyColumns {
 /// original index for determinism. This is the window operator's ORDER BY
 /// phase; it reuses the platform sorter as the paper reuses Hyper's (§5.3).
 pub fn sort_permutation(keys: &KeyColumns, rows: &mut [usize], parallel: bool) {
+    if let Some(codes) = keys.single_codes() {
+        let mut pairs: Vec<(u64, usize)> = rows.iter().map(|&r| (codes[r], r)).collect();
+        sort_pairs(&mut pairs, parallel);
+        for (dst, (_, r)) in rows.iter_mut().zip(pairs) {
+            *dst = r;
+        }
+        return;
+    }
     let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(a, b).then_with(|| a.cmp(&b));
     if parallel && rows.len() >= 4096 {
         rows.par_sort_unstable_by(cmp);
@@ -165,35 +390,18 @@ pub fn sort_permutation(keys: &KeyColumns, rows: &mut [usize], parallel: bool) {
 /// in *position* space (0-based positions within the sorted partition), ready
 /// to feed into a merge sort tree.
 pub fn dense_codes_for(keys: &KeyColumns, rows: &[usize], parallel: bool) -> DenseCodes {
-    let n = rows.len();
-    let mut perm: Vec<usize> = (0..n).collect();
+    if let Some(codes) = keys.single_codes() {
+        let gathered: Vec<u64> = rows.iter().map(|&r| codes[r]).collect();
+        return dense_codes(&gathered, parallel);
+    }
+    let mut perm: Vec<usize> = (0..rows.len()).collect();
     let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(rows[a], rows[b]).then_with(|| a.cmp(&b));
-    if parallel && n >= 4096 {
+    if parallel && perm.len() >= 4096 {
         perm.par_sort_unstable_by(cmp);
     } else {
         perm.sort_unstable_by(cmp);
     }
-    let mut code = vec![0usize; n];
-    let mut group_min = vec![0usize; n];
-    let mut group_end = vec![0usize; n];
-    let mut group_id = vec![0usize; n];
-    let mut num_groups = 0usize;
-    let mut r = 0;
-    while r < n {
-        let mut e = r + 1;
-        while e < n && keys.rows_equal(rows[perm[e]], rows[perm[r]]) {
-            e += 1;
-        }
-        for (off, &pos) in perm[r..e].iter().enumerate() {
-            code[pos] = r + off;
-            group_min[pos] = r;
-            group_end[pos] = e;
-            group_id[pos] = num_groups;
-        }
-        num_groups += 1;
-        r = e;
-    }
-    DenseCodes { code, group_min, group_end, group_id, perm, num_groups }
+    DenseCodes::from_sorted(perm, |perm, a, b| keys.rows_equal(rows[perm[b]], rows[perm[a]]))
 }
 
 /// Peer group boundaries of an already-sorted position range: for each
@@ -313,6 +521,117 @@ mod tests {
         );
         // And the spine is still counted on top of the payload.
         assert!(keys.bytes() >= payload_total + 64 * std::mem::size_of::<Value>());
+    }
+
+    /// Number of rows held as fallback `Value`s rather than codes.
+    fn fallback_rows(keys: &KeyColumns) -> usize {
+        keys.keys
+            .iter()
+            .map(|c| match &c.data {
+                KeyData::Values(v) => v.len(),
+                KeyData::Encoded { .. } => 0,
+            })
+            .sum()
+    }
+
+    #[test]
+    fn encodable_criteria_cost_one_word_per_row() {
+        let t = Table::new(vec![
+            ("i", Column::ints_opt(vec![Some(i64::MIN + 1), None, Some(i64::MAX - 1)])),
+            ("f", Column::floats_opt(vec![Some(-0.0), None, Some(f64::INFINITY)])),
+            ("d", Column::dates(vec![-5, 0, 9])),
+            (
+                "b",
+                Column::from_values(&[Value::Bool(false), Value::Null, Value::Bool(true)]).unwrap(),
+            ),
+        ])
+        .unwrap();
+        for name in ["i", "f", "d", "b"] {
+            for nulls_first in [false, true] {
+                for sk in [SortKey::asc(col(name)), SortKey::desc(col(name))] {
+                    let keys = KeyColumns::evaluate(&t, &[sk.nulls_first(nulls_first)]).unwrap();
+                    assert_eq!(fallback_rows(&keys), 0, "{name} must stay encoded");
+                    assert_eq!(keys.bytes(), 3 * 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unencodable_criteria_fall_back_to_values() {
+        let collide_last = Column::ints_opt(vec![Some(i64::MAX), None]);
+        let collide_first = Column::ints_opt(vec![None, Some(i64::MIN)]);
+        let t = Table::new(vec![
+            ("last", collide_last),
+            ("first", collide_first),
+            ("s", Column::strs(vec!["b", "a"])),
+        ])
+        .unwrap();
+        for sk in [
+            SortKey::asc(col("last")),
+            SortKey::asc(col("first")).nulls_first(true),
+            SortKey::desc(col("first")).nulls_first(false),
+            SortKey::asc(col("s")),
+        ] {
+            let keys = KeyColumns::evaluate(&t, std::slice::from_ref(&sk)).unwrap();
+            assert_eq!(fallback_rows(&keys), 2, "{:?}", sk.expr);
+        }
+        // Away from the sentinel the same values encode.
+        let keys =
+            KeyColumns::evaluate(&t, &[SortKey::asc(col("last")).nulls_first(true)]).unwrap();
+        assert_eq!(fallback_rows(&keys), 0);
+    }
+
+    #[test]
+    fn extend_converts_once_when_an_append_collides() {
+        let base = Table::new(vec![("k", Column::ints(vec![i64::MAX, 1]))]).unwrap();
+        let sk = [SortKey::asc(col("k"))];
+        let mut keys = KeyColumns::evaluate(&base, &sk).unwrap();
+        assert_eq!(fallback_rows(&keys), 0);
+        let mut grown = base.clone();
+        grown
+            .append_rows(&Table::new(vec![("k", Column::ints_opt(vec![None, Some(5)]))]).unwrap())
+            .unwrap();
+        keys.extend(&grown, &sk, 2).unwrap();
+        assert_eq!(fallback_rows(&keys), 4);
+        let mut rows: Vec<usize> = (0..4).collect();
+        sort_permutation(&keys, &mut rows, false);
+        assert_eq!(rows, vec![1, 3, 0, 2], "NULL sorts after i64::MAX");
+        assert!(!keys.rows_equal(0, 2));
+        assert!(matches!(keys.single_key(2), Some((Value::Null, false))));
+        assert!(matches!(keys.single_key(0), Some((Value::Int(i64::MAX), false))));
+    }
+
+    #[test]
+    fn float_codes_follow_total_cmp_and_round_trip() {
+        let vals = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FFF_FFFF_FFFF_FFFF),
+            f64::from_bits(0xFFFF_FFFF_FFFF_FFFF),
+        ];
+        for a in vals {
+            assert_eq!(decode_f64(encode_f64(a)).to_bits(), a.to_bits());
+            for b in vals {
+                assert_eq!(encode_f64(a).cmp(&encode_f64(b)), a.total_cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
+        for x in [i64::MIN, -1, 0, 1, i64::MAX] {
+            assert_eq!(decode_i64(encode_i64(x)), x);
+            assert_eq!(encode_i64(x).cmp(&encode_i64(0)), x.cmp(&0));
+        }
     }
 
     #[test]

@@ -317,6 +317,104 @@ fn rejected_batches_leave_the_engine_usable() {
     tables_bit_identical(&engine.output_table().unwrap(), &expected);
 }
 
+#[test]
+fn appended_null_next_to_int_max_key_stays_ordered() {
+    // Under ASC NULLS LAST a NULL's key code and `i64::MAX`'s are the same
+    // word; the key columns extended by the batch must notice and keep the
+    // NULL after `i64::MAX` instead of making the two peers.
+    let base = Table::new(vec![
+        ("t", Column::ints((0..40).collect())),
+        ("v", Column::ints((0..40).map(|i| if i % 5 == 0 { i64::MAX } else { i % 7 }).collect())),
+    ])
+    .unwrap();
+    let batch = Table::new(vec![
+        ("t", Column::ints_opt(vec![Some(40), None, Some(i64::MAX), None])),
+        ("v", Column::ints_opt(vec![None, Some(i64::MAX), None, Some(3)])),
+    ])
+    .unwrap();
+    let by_v = || vec![SortKey::asc(col("v"))];
+    for window_order in [SortKey::asc(col("t")), SortKey::asc(col("v"))] {
+        let q = WindowQuery::over(
+            WindowSpec::new()
+                .order_by(vec![window_order])
+                .frame(FrameSpec::rows(FrameBound::Preceding(lit(6i64)), FrameBound::CurrentRow)),
+        )
+        .call(FunctionCall::rank(by_v()).named("r"))
+        .call(FunctionCall::dense_rank(by_v()).named("dr"))
+        .call(FunctionCall::cume_dist(by_v()).named("cd"))
+        .call(FunctionCall::percentile_disc(0.5, SortKey::asc(col("v"))).named("pd"))
+        .call(FunctionCall::count_star().named("c"));
+        check_equivalence(&q, &base, std::slice::from_ref(&batch));
+    }
+    // The same ordering checked against values rather than a second run of
+    // the same key code: over the whole partition a row's rank is one plus
+    // the rows sorting strictly before it, NULLs after `i64::MAX`. In `v`
+    // the batch's NULL meets existing `i64::MAX` keys; in `t` an `i64::MAX`
+    // arrives after the batch's first NULL.
+    for c in ["v", "t"] {
+        let whole = WindowQuery::over(
+            WindowSpec::new()
+                .order_by(vec![SortKey::asc(col("t"))])
+                .frame(FrameSpec::whole_partition()),
+        )
+        .call(FunctionCall::rank(vec![SortKey::asc(col(c))]).named("r"));
+        let mut engine = whole.begin_incremental(&base, ExecOptions::default()).unwrap();
+        engine.append(&batch).unwrap();
+        let vals = engine.table().column(c).unwrap().to_values();
+        let key = |x: &Value| (x.is_null(), x.as_i64());
+        let expected: Vec<Value> = vals
+            .iter()
+            .map(|x| Value::Int(1 + vals.iter().filter(|y| key(y) < key(x)).count() as i64))
+            .collect();
+        assert_eq!(engine.output_table().unwrap().column("r").unwrap().to_values(), expected);
+    }
+}
+
+#[test]
+fn int_batch_widened_into_float_order_column_matches() {
+    // An Int batch lands in a Float ORDER BY column as floats (the widening
+    // `Table::append_rows` does); the encoded keys, RANGE offsets and
+    // forest probes must see the same floats a from-scratch run sees. The
+    // other direction — a Float batch into an Int column — is rejected.
+    let base = Table::new(vec![
+        ("t", Column::ints((0..50).collect())),
+        ("v", Column::floats((0..50).map(|i| ((i * 7) % 13) as f64 * 0.5 - 2.0).collect())),
+    ])
+    .unwrap();
+    let batch = Table::new(vec![
+        ("t", Column::ints((50..70).collect())),
+        ("v", Column::ints_opt((0..20).map(|i| (i % 4 != 3).then_some(i % 6 - 2)).collect())),
+    ])
+    .unwrap();
+    let splice_q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(8i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::rank(vec![SortKey::desc(col("v"))]).named("r"))
+    .call(FunctionCall::median(col("v")).named("med"))
+    .call(FunctionCall::percentile_cont(0.25, SortKey::asc(col("v"))).named("pc"));
+    check_equivalence(&splice_q, &base, std::slice::from_ref(&batch));
+    let range_q =
+        WindowQuery::over(WindowSpec::new().order_by(vec![SortKey::asc(col("v"))]).frame(
+            FrameSpec::range(FrameBound::Preceding(lit(1.5)), FrameBound::Following(lit(1i64))),
+        ))
+        .call(FunctionCall::count_star().named("c"))
+        .call(FunctionCall::median(col("t")).named("med"));
+    check_equivalence(&range_q, &base, std::slice::from_ref(&batch));
+
+    let int_base = Table::new(vec![
+        ("t", Column::ints((0..50).collect())),
+        ("v", Column::ints((0..50).map(|i| (i * 7) % 13).collect())),
+    ])
+    .unwrap();
+    let float_batch =
+        Table::new(vec![("t", Column::ints(vec![50])), ("v", Column::floats(vec![0.5]))]).unwrap();
+    let mut engine = splice_q.begin_incremental(&int_base, ExecOptions::default()).unwrap();
+    assert!(engine.append(&float_batch).is_err(), "a Float batch cannot widen an Int column");
+    assert!(!engine.is_poisoned());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -60,7 +60,7 @@ fn engine_matches_naive_default_and_whole_partition_frames() {
                     .frame(frame);
                 let mut q = WindowQuery::over(spec);
                 for i in 0..6 {
-                    let mut call = gen::gen_call(&mut rng);
+                    let mut call = gen::gen_call(&mut rng, &table);
                     call.output_name =
                         format!("c{i}_{}", call.kind.name().replace(['(', ')', '*'], ""));
                     q = q.call(call);
